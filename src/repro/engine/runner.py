@@ -251,10 +251,10 @@ def _shared_fleet_trial(fn, handle, trial: Trial):
 
 
 def _inline_fleet_trial(fn, columns, trial: Trial):
-    # Fresh mutable-state copy per trial, so inline (workers=1) trials
-    # are as independent as pool trials attaching the read-only
-    # snapshot — worker-invariance depends on it.
-    return fn(trial, columns.thaw())
+    # Read-only views, exactly what a pool trial attaching the snapshot
+    # gets: each consumer thaws its own copy, so inline (workers=1)
+    # trials behave identically — worker-invariance depends on it.
+    return fn(trial, columns.frozen())
 
 
 def run_fleet_trials(

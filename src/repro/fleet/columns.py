@@ -413,6 +413,20 @@ class FleetColumns:
         """True when the arrays are snapshot views (not writable)."""
         return not self.online.flags.writeable
 
+    def frozen(self) -> "FleetColumns":
+        """Read-only views of every array, as a snapshot attach gives.
+
+        Consumers treat read-only columns as shared and ``thaw()`` their
+        own copy before mutating, so handing several consumers one
+        frozen fleet never lets one see another's writes.
+        """
+        views = {}
+        for name in (*SNAPSHOT_FIELDS, "machine_ids"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            views[name] = view
+        return dataclasses.replace(self, **views)
+
     def thaw(self) -> "FleetColumns":
         """A copy whose mutable-state arrays are private and writable.
 

@@ -20,7 +20,11 @@ from repro import obs
 from repro.silicon.defects import DefectModel, MachineCheckDefect
 from repro.silicon.environment import NOMINAL, OperatingPoint
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.golden import golden_call, golden_execute
+from repro.silicon.golden import (
+    golden_cache_enabled,
+    golden_call,
+    golden_execute,
+)
 
 # Observability is touched only on the rare corruption / machine-check
 # branches — never on the per-op fast path, which stays exactly as the
@@ -193,6 +197,35 @@ class Core:
     def __repr__(self) -> str:
         kind = "mercurial" if self.is_mercurial else "healthy"
         return f"<Core {self.core_id} ({kind}, {len(self._defects)} defects)>"
+
+
+def credit_whole(core, n_ops: int) -> bool:
+    """Credit ``n_ops`` to a defect-free core that may skip per-op dispatch.
+
+    A plain :class:`Core` with no defects returns the golden result of
+    every op and never draws from its rng, so a kernel over it is a
+    pure function of its inputs: running it through :meth:`Core.execute`
+    one op at a time only advances ``ops_executed``.  When this returns
+    True it has already added ``n_ops`` to that counter, and the caller
+    returns its host-computed result instead of looping.
+
+    False — run the per-op loop — for mercurial cores (even before
+    onset: ``defect.apply`` may draw rng on every op), offline cores
+    (so :class:`CoreOfflineError` is raised exactly as per-op), wrapped
+    or subclassed cores (``OpCountingCore``, the instrcheck checked
+    cores), and whenever golden memoization is off, which keeps
+    ``set_golden_cache(False)`` / ``REPRO_GOLDEN_CACHE=0`` the per-op
+    reference path everywhere.
+    """
+    if (
+        type(core) is Core
+        and not core._defects
+        and core.online
+        and golden_cache_enabled()
+    ):
+        core.ops_executed += n_ops
+        return True
+    return False
 
 
 class Chip:

@@ -15,6 +15,7 @@ host-side; SubBytes, MixColumns and AddRoundKey execute on the core.
 
 from __future__ import annotations
 
+from repro.silicon.core import credit_whole
 from repro.silicon.units import Op
 from repro.workloads.base import CoreLike, WorkloadResult, digest_bytes
 
@@ -31,16 +32,11 @@ _INV_SHIFT_ROWS = tuple(_SHIFT_ROWS.index(i) for i in range(16))
 
 # -- healthy-core fast path --------------------------------------------
 #
-# A healthy Core returns the golden result of every op and never draws
-# from its rng, so an AES block on a healthy core is a pure function of
-# (block, round_keys) — the per-op trip through Core.execute only
-# maintains the ops_executed counter.  The campaign-scale experiments
-# (E15/E16) encrypt/decrypt millions of blocks on healthy cores; the
-# fast path below computes whole blocks from the same golden tables and
-# credits the counter in one step.  Mercurial cores — even before
-# defect onset — always take the per-op path, so defect behaviour and
-# rng streams are untouched.  Exact op counts and results are pinned to
-# the per-op path by tests/test_workload_crypto.py.
+# On a defect-free core (:func:`repro.silicon.core.credit_whole`) an AES
+# block is a pure function of (block, round_keys): the fast path below
+# computes whole blocks from the same golden tables and credits the
+# per-op counts in one step.  Exact op counts and results are pinned to
+# the per-op path by tests/test_workloads_crypto.py.
 
 #: ops per expand_key: 40 words x 4 XOR + 10 RotWord steps x (4 SBOX + 1 XOR)
 _EXPAND_OPS = 210
@@ -71,18 +67,6 @@ def _mix_rows(matrix: tuple) -> tuple:
             tuple(_gf_table(c) for c in row) for row in matrix
         )
     return rows
-
-
-def _fast_core(core: CoreLike) -> bool:
-    from repro.silicon.core import Core
-    from repro.silicon.golden import golden_cache_enabled
-
-    return (
-        type(core) is Core
-        and not core.is_mercurial
-        and core.online
-        and golden_cache_enabled()
-    )
 
 
 def _fast_mix(state: list[int], rows: tuple) -> list[int]:
@@ -146,8 +130,7 @@ def expand_key(core: CoreLike, key: bytes) -> list[bytes]:
     """FIPS-197 key schedule: 11 round keys from a 16-byte key."""
     if len(key) != 16:
         raise ValueError("AES-128 needs a 16-byte key")
-    if _fast_core(core):
-        core.ops_executed += _EXPAND_OPS
+    if credit_whole(core, _EXPAND_OPS):
         return _fast_expand_key(key)
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     for i in range(4, 4 * (N_ROUNDS + 1)):
@@ -215,8 +198,7 @@ def encrypt_block(core: CoreLike, block: bytes, round_keys: list[bytes]) -> byte
     """Encrypt one 16-byte block."""
     if len(block) != BLOCK_BYTES:
         raise ValueError("block must be 16 bytes")
-    if _fast_core(core):
-        core.ops_executed += _BLOCK_OPS
+    if credit_whole(core, _BLOCK_OPS):
         return _fast_encrypt_block(block, round_keys)
     state = _add_round_key(core, list(block), round_keys[0])
     for round_index in range(1, N_ROUNDS):
@@ -234,8 +216,7 @@ def decrypt_block(core: CoreLike, block: bytes, round_keys: list[bytes]) -> byte
     """Decrypt one 16-byte block (inverse cipher, FIPS-197 §5.3)."""
     if len(block) != BLOCK_BYTES:
         raise ValueError("block must be 16 bytes")
-    if _fast_core(core):
-        core.ops_executed += _BLOCK_OPS
+    if credit_whole(core, _BLOCK_OPS):
         return _fast_decrypt_block(block, round_keys)
     state = _add_round_key(core, list(block), round_keys[N_ROUNDS])
     for round_index in range(N_ROUNDS - 1, 0, -1):

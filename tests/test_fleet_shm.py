@@ -136,6 +136,33 @@ def _simulate(trial, columns):
     return (trial.index, len(result.events), sorted(result.flagged()))
 
 
+def _simulate_then_ridealong(trial, columns):
+    # Both consumers get the same ``columns``: each must thaw its own
+    # copy, or the ride-along sees the simulator's quarantines.
+    from repro.detection.corpus import TestCorpus
+    from repro.detection.fleetscreen import (
+        RideAlongCampaign,
+        RideAlongConfig,
+        RideAlongScreener,
+        distill,
+    )
+    from repro.fleet.simulator import FleetSimulator, SimulatorConfig
+
+    sim = FleetSimulator(
+        columns,
+        config=SimulatorConfig(horizon_days=120.0, warmup_days=0.0),
+        seed=trial.seed + 1,
+    ).run()
+    screener = RideAlongScreener(
+        distill(TestCorpus.standard()), RideAlongConfig(budget_fraction=1e-4)
+    )
+    report = RideAlongCampaign(columns, screener, seed=trial.seed + 3).run(60.0)
+    return (
+        sorted(sim.flagged()), sorted(report.detected.items()),
+        report.n_confessions, int(columns.online.sum()),
+    )
+
+
 def _crash(trial, columns):
     import os
 
@@ -154,6 +181,18 @@ class TestRunFleetTrials:
         serial = run_fleet_trials(_simulate, columns, 3, seed=2, workers=1)
         pooled = run_fleet_trials(_simulate, columns, 3, seed=2, workers=3)
         assert serial == pooled
+
+    def test_shared_columns_trial_worker_invariance(self):
+        columns = _columns(n_machines=300, seed=3)
+        serial = run_fleet_trials(
+            _simulate_then_ridealong, columns, 2, seed=4, workers=1
+        )
+        pooled = run_fleet_trials(
+            _simulate_then_ridealong, columns, 2, seed=4, workers=2
+        )
+        assert serial == pooled
+        assert any(row[0] and row[1] for row in serial)
+        assert bool(columns.online.all())
 
     def test_no_segment_leak_after_pool_run(self):
         columns = _columns(n_machines=10)

@@ -148,3 +148,47 @@ class TestLoadGenerator:
         gen = LoadGenerator(LoadProfile.steady(8.0, 500), seed=6)
         counts = [len(gen.arrivals(t)) for t in range(500)]
         assert abs(float(np.mean(counts)) - 8.0) < 0.5
+
+
+def _choice_reference_stream(profile, cohorts, seed, ticks):
+    """The stream as drawn with ``Generator.choice`` per request."""
+    rng = np.random.default_rng(seed)
+    weights = np.array([c.weight for c in cohorts], dtype=float)
+    p = weights / weights.sum()
+    out = []
+    for tick in range(ticks):
+        rate = profile.rate_at(tick)
+        count = int(rng.poisson(rate)) if rate > 0 else 0
+        for _ in range(count):
+            cohort = cohorts[int(rng.choice(len(cohorts), p=p))]
+            user = int(rng.integers(cohort.n_users))
+            offset = sum(c.n_users for c in cohorts if c.name < cohort.name)
+            out.append((cohort.name, user + offset,
+                        rng.bytes(cohort.payload_bytes), tick))
+    return out
+
+
+class TestCohortDrawParity:
+    """The precomputed-cdf draw consumes the rng exactly like ``choice``."""
+
+    COHORT_SETS = [
+        DEFAULT_COHORTS,
+        (
+            UserCohort("zeta", weight=0.7, payload_bytes=8, n_users=40),
+            UserCohort("alpha", weight=2.9, payload_bytes=24, n_users=7),
+            UserCohort("mid", weight=0.05, payload_bytes=4, n_users=300),
+        ),
+        (UserCohort("solo", weight=5.0, n_users=3),),
+    ]
+
+    @pytest.mark.parametrize("cohorts", COHORT_SETS)
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    def test_stream_matches_choice_reference(self, cohorts, seed):
+        profile = LoadProfile.ramp(6.0, 14.0, 60)
+        gen = LoadGenerator(profile, cohorts=cohorts, seed=seed)
+        got = [
+            (req.cohort, req.route_key, req.payload, req.arrival_tick)
+            for tick in range(60) for req in gen.arrivals(tick)
+        ]
+        assert got == _choice_reference_stream(profile, cohorts, seed, 60)
+        assert len(got) > 300

@@ -152,13 +152,13 @@ class TestHealthyFastPath:
         assert core.ops_executed - before == want_ops
 
     def test_mercurial_core_never_takes_the_fast_path(self):
-        from repro.workloads.crypto import _fast_core
+        from repro.silicon.core import credit_whole
 
         defective = Core(
             "fast/bad", defects=named_case("self_inverting_aes"),
             rng=np.random.default_rng(1),
         )
-        assert not _fast_core(defective)
+        assert not credit_whole(defective, 0)
 
     def test_offline_core_still_raises(self):
         from repro.silicon.errors import CoreOfflineError
