@@ -14,7 +14,7 @@ from repro.fleet.columns import (
     defect_mode_code,
 )
 from repro.fleet.lifecycle import BurnInReport, RmaTracker, burn_in
-from repro.fleet.machine import Machine
+from repro.fleet.machine import Machine, build_small_fleet
 from repro.fleet.population import FleetBuilder, FleetGroundTruth, ground_truth_map
 from repro.fleet.product import (
     CpuProduct,
@@ -50,6 +50,7 @@ __all__ = [
     "RmaTracker",
     "burn_in",
     "Machine",
+    "build_small_fleet",
     "FleetBuilder",
     "FleetGroundTruth",
     "ground_truth_map",
