@@ -6,8 +6,8 @@ scripted schedule of mid-campaign faults exercises every defence a
 hardened configuration claims to have.  The schedule is deliberately
 substrate-agnostic — the same :class:`ChaosAction` stream drives an RPC
 campaign (:mod:`repro.serving.campaign`) or a replicated-storage
-campaign (:mod:`repro.storage.campaign`); each driver interprets the
-action kinds against its own resources.
+campaign (:mod:`repro.storage.campaign`); the shared campaign loop
+applies the core-level kinds, each driver the rest to its replicas.
 
 The fault classes come straight from the paper's phenomenology:
 
