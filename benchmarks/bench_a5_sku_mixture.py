@@ -20,7 +20,10 @@ def run_sku_ablation(n_machines=6000, seed=5):
     rows = []
     rates = {}
     for label, products in portfolios.items():
-        _, truth = FleetBuilder(products=products, seed=seed).build(n_machines)
+        truth = (
+            FleetBuilder(products=products, seed=seed)
+            .build_columns(n_machines).ground_truth()
+        )
         rate = 1000.0 * truth.n_mercurial / n_machines
         rates[label] = rate
         rows.append([label, truth.n_mercurial, f"{rate:.2f}"])

@@ -17,7 +17,7 @@ pre/post-deployment, offline/online, infrastructure/application); see
 - :mod:`repro.detection.quarantine` — core- and machine-level
   isolation with cost accounting, plus safe-task analysis (§6.1).
 - :mod:`repro.detection.fleetscreen` — SiliFuzz-style corpus
-  distillation, vectorized whole-fleet screening over the columnar
+  distillation, batched whole-fleet screening over the columnar
   substrate, and budgeted ride-along screening in scheduler spare
   cycles.
 """

@@ -13,7 +13,7 @@ from it indefinitely.
 
 This screener walks :class:`~repro.silicon.core.Core` objects one at a
 time; its fleet-scale counterpart over columnar fleets is
-:mod:`repro.detection.fleetscreen` (vectorized passes, distilled
+:mod:`repro.detection.fleetscreen` (batched numpy passes, distilled
 batteries, explicit machine-second budgets).
 """
 

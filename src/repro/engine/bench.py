@@ -1,15 +1,13 @@
 """Benchmark scorecards: measured speedups, committed as artifacts.
 
-Each registered benchmark times the optimized path (vectorized fleet
-build, vectorized simulator tick, golden-result memoization, parallel
-trial fan-out) against the preserved serial baseline (``build_legacy``,
-``SimulatorConfig(vectorized=False)``, golden cache disabled) and
-returns a :class:`BenchScorecard`.  ``repro bench`` writes each card to
-``BENCH_<ID>.json`` so speedup claims in EXPERIMENTS.md are pinned to a
-reproducible measurement, not prose.
-
-The baselines are real code paths kept in-tree, so the A/B stays honest
-as both sides evolve.
+Each registered benchmark times an optimized path (columnar fleet
+build, golden-result memoization, parallel trial fan-out) against a
+baseline that is still a live code path — the materialized object
+fleet, the golden cache disabled, or the same work with ``workers=1`` —
+and returns a :class:`BenchScorecard`.  ``repro bench`` writes each card
+to ``BENCH_<ID>.json`` so speedup claims in EXPERIMENTS.md are pinned
+to a reproducible measurement, not prose.  Numbers measured against
+paths that no longer exist are kept in EXPERIMENTS.md as history.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ class BenchScorecard:
     wall_s: float
     #: serial-baseline wall time for the equivalent work
     baseline_wall_s: float
-    #: baseline_wall_s / per-trial optimized wall
+    #: baseline_wall_s / wall_s
     speedup: float
     #: trials (or campaign arms) the optimized path ran
     trials: int
@@ -84,27 +82,31 @@ def _timed(fn: Callable[[], object]) -> tuple[float, object]:
 # individual benchmarks
 # ---------------------------------------------------------------------
 
+#: event-stream fingerprint of the boosted seed-11 parity campaign,
+#: recorded from the object-fleet simulator tick before it was retired
+#: (also pinned in ``tests/test_fleet_golden.py``)
+PARITY_FINGERPRINT = (
+    "cd01d4e99202ddddc57abdea19735cabef8c6eebe1b201a9d5550305bb847e48"
+)
+
+
 def bench_build(scale: str, workers: int) -> BenchScorecard:
-    """Fleet construction & tick: object substrate vs columnar.
+    """Fleet construction & tick on the columnar substrate.
 
-    Four measurements over the same seeded population plan:
+    Four measurements:
 
-    - **build A/B** — legacy per-draw builder (baseline) vs vectorized
-      object builder vs ``build_columns`` (the headline ``speedup`` and
-      ``cores_per_s`` come from the columnar side);
-    - **campaign A/B** — a short simulated campaign on the same fleet
-      through both substrates, *including* simulator construction: the
-      object side scans every core to build its id indexes, the
-      columnar side touches only the mercurial arrays, and that gap is
-      exactly what campaigns standing up a simulator per trial pay
-      (``tick_speedup``);
+    - **build A/B** — ``build_columns`` (the headline ``wall_s``) vs the
+      only object fleet left, ``build_columns(n).to_machines()``
+      (``baseline_wall_s``, ``object_cores_per_s``);
+    - **campaign** — a short simulated campaign on the columnar fleet,
+      including simulator construction (``ticks_per_s``);
     - **O(1M)-core arm** — columnar build + shared-memory snapshot
-      publish/attach + a short campaign at a scale the object substrate
+      publish/attach + a short campaign at a scale per-core objects
       cannot practically reach (``scale_*`` / ``snapshot_*`` metrics);
-    - **parity gate** — a small prevalence-boosted fleet run through
-      both substrates at the same seed; the event-stream fingerprints
-      must be identical (``columnar_parity``), so the speedups above
-      can never drift away from bit-equal results.
+    - **parity gate** — a small prevalence-boosted fleet simulated at a
+      fixed seed; its event-stream fingerprint must equal
+      :data:`PARITY_FINGERPRINT` (``columnar_parity``), so the
+      speedups above can never drift away from the recorded results.
     """
     import hashlib
 
@@ -112,32 +114,31 @@ def bench_build(scale: str, workers: int) -> BenchScorecard:
     from repro.fleet.population import FleetBuilder
     from repro.fleet.product import DEFAULT_PRODUCTS
     from repro.fleet.simulator import FleetSimulator, SimulatorConfig
+    from repro.workloads.generator import blended_op_mix
 
     n_machines = 2000 if scale == "ci" else 12000
     window = (-900.0, 0.0)
-    legacy_s, (machines, _) = _timed(
-        lambda: FleetBuilder(seed=7, deployment_window=window)
-        .build_legacy(n_machines)
-    )
-    n_cores = sum(len(m.cores) for m in machines)
+    blended_op_mix()  # warm the lru cache so the timed campaign skips it
     object_s, (machines, truth) = _timed(
         lambda: FleetBuilder(seed=7, deployment_window=window)
-        .build(n_machines)
+        .build_columns(n_machines).to_machines()
     )
+    n_cores = sum(len(m.cores) for m in machines)
     columnar_s, columns = _timed(
         lambda: FleetBuilder(seed=7, deployment_window=window)
         .build_columns(n_machines)
     )
 
-    # Campaign A/B on the fleets just built: construction + a short
-    # horizon, both substrates, same seed.
-    ab_ticks = 8
-    ab_config = SimulatorConfig(horizon_days=float(ab_ticks), warmup_days=0.0)
-    object_campaign_s, _ = _timed(
-        lambda: FleetSimulator(machines, truth, ab_config, seed=8).run()
-    )
+    # Campaign on the fleet just built: construction + a short horizon.
+    campaign_ticks = 8
     columnar_campaign_s, _ = _timed(
-        lambda: FleetSimulator(columns, config=ab_config, seed=8).run()
+        lambda: FleetSimulator(
+            columns,
+            SimulatorConfig(
+                horizon_days=float(campaign_ticks), warmup_days=0.0
+            ),
+            seed=8,
+        ).run()
     )
 
     # O(1M)-core columnar arm: build, publish, attach, simulate.  The
@@ -170,65 +171,55 @@ def bench_build(scale: str, workers: int) -> BenchScorecard:
         snapshot.close()
 
     # Parity gate: prevalence-boosted small fleet (the determinism-test
-    # shape), event streams hashed on both substrates.
+    # shape), event stream hashed.
     boosted = tuple(
         dataclasses.replace(p, core_prevalence=p.core_prevalence * 40.0)
         for p in DEFAULT_PRODUCTS
     )
-    parity_config = SimulatorConfig(horizon_days=60.0, warmup_days=0.0)
-
-    def _event_fingerprint(result) -> str:
-        payload = {
-            "events": [
-                (e.time_days, e.machine_id, e.core_id, str(e.kind),
-                 str(e.reporter), e.detail)
-                for e in result.events
-            ],
-            "quarantined": sorted(result.quarantined_cores),
-            "total_corruptions": result.total_corruptions,
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True, default=str).encode()
-        ).hexdigest()
-
-    p_machines, p_truth = FleetBuilder(
-        products=boosted, seed=11, deployment_window=(-700.0, 0.0)
-    ).build(150)
-    object_fp = _event_fingerprint(
-        FleetSimulator(p_machines, p_truth, parity_config, seed=3).run()
-    )
     p_columns = FleetBuilder(
         products=boosted, seed=11, deployment_window=(-700.0, 0.0)
     ).build_columns(150)
-    columnar_fp = _event_fingerprint(
-        FleetSimulator(p_columns, config=parity_config, seed=3).run()
-    )
+    result = FleetSimulator(
+        p_columns,
+        SimulatorConfig(horizon_days=60.0, warmup_days=0.0),
+        seed=3,
+    ).run()
+    columnar_fp = hashlib.sha256(
+        json.dumps(
+            {
+                "events": [
+                    (e.time_days, e.machine_id, e.core_id, str(e.kind),
+                     str(e.reporter), e.detail)
+                    for e in result.events
+                ],
+                "quarantined": sorted(result.quarantined_cores),
+                "total_corruptions": result.total_corruptions,
+            },
+            sort_keys=True, default=str,
+        ).encode()
+    ).hexdigest()
 
     return BenchScorecard(
         bench_id="build",
-        title="fleet build & tick (object substrate vs columnar)",
+        title="fleet build & tick (columnar, object materialization as baseline)",
         scale=scale,
         workers=workers,
         wall_s=columnar_s,
-        baseline_wall_s=legacy_s,
-        speedup=legacy_s / max(columnar_s, 1e-9),
+        baseline_wall_s=object_s,
+        speedup=object_s / max(columnar_s, 1e-9),
         trials=1,
         trials_per_s=1.0 / max(columnar_s, 1e-9),
-        ticks=ab_ticks,
-        ticks_per_s=ab_ticks / max(columnar_campaign_s, 1e-9),
-        baseline_ticks_per_s=ab_ticks / max(object_campaign_s, 1e-9),
-        tick_speedup=object_campaign_s / max(columnar_campaign_s, 1e-9),
+        ticks=campaign_ticks,
+        ticks_per_s=campaign_ticks / max(columnar_campaign_s, 1e-9),
         metrics={
             "n_machines": n_machines,
             "n_cores": n_cores,
             "n_mercurial": truth.n_mercurial,
-            "legacy_build_s": legacy_s,
             "object_build_s": object_s,
             "columnar_build_s": columnar_s,
             "object_cores_per_s": n_cores / max(object_s, 1e-9),
             # headline: columnar build throughput at the 1M-core arm
             "cores_per_s": scale_cores / max(scale_build_s, 1e-9),
-            "object_campaign_s": object_campaign_s,
             "columnar_campaign_s": columnar_campaign_s,
             "scale_n_machines": scale_machines,
             "scale_n_cores": scale_cores,
@@ -240,43 +231,22 @@ def bench_build(scale: str, workers: int) -> BenchScorecard:
             "snapshot_bytes": snapshot_bytes,
             "snapshot_ms": snapshot_s * 1e3,
             "attach_ms": attach_s * 1e3,
-            "columnar_parity": object_fp == columnar_fp,
+            "columnar_parity": columnar_fp == PARITY_FINGERPRINT,
             "parity_fingerprint": columnar_fp,
         },
     )
 
 
-def _tick_timed_simulator_class() -> type:
-    """Subclass that accumulates time spent inside the tick alone.
-
-    The E1 sim run is dominated by shared downstream ingest (analyzer,
-    policy), so whole-run A/B of the tick is noise; the scalar vs
-    vectorized comparison is only meaningful on isolated tick time.
-    """
-    from repro.fleet.simulator import FleetSimulator
-
-    class TickTimed(FleetSimulator):
-        tick_seconds = 0.0
-
-        def _tick_scalar(self, now: float, tick: float) -> None:
-            start = time.perf_counter()
-            super()._tick_scalar(now, tick)
-            self.tick_seconds += time.perf_counter() - start
-
-        def _tick_vectorized(self, now: float, tick: float) -> None:
-            start = time.perf_counter()
-            super()._tick_vectorized(now, tick)
-            self.tick_seconds += time.perf_counter() - start
-
-    return TickTimed
-
-
 def bench_e1(scale: str, workers: int) -> BenchScorecard:
-    """E1 incidence: the full serial legacy trial vs the engine path."""
-    from repro.analysis.experiments import _incidence_trial, run_incidence
-    from repro.engine.runner import Trial
-    from repro.fleet.population import FleetBuilder
-    from repro.fleet.simulator import SimulatorConfig
+    """E1 incidence: serial trials vs the engine fan-out.
+
+    Both sides run the same ``run_incidence`` trials — build, simulate,
+    score — once with ``workers=1`` (the baseline) and once fanned out
+    over :func:`effective_workers`, so the speedup is pure parallelism.
+    The requested worker count is recorded in ``metrics``.
+    """
+    from repro.analysis.experiments import run_incidence
+    from repro.engine.runner import effective_workers
     from repro.workloads.generator import blended_op_mix
 
     if scale == "ci":
@@ -285,86 +255,38 @@ def bench_e1(scale: str, workers: int) -> BenchScorecard:
         n_machines, horizon = 12000, 270.0
     seed = 7
     blended_op_mix()  # warm the lru cache so neither side pays it
-    tick_timed = _tick_timed_simulator_class()
 
-    # Both sides time the complete trial — build, sim, detection
-    # scoring — on their respective paths, so the shared downstream
-    # analysis is counted identically.
-    baseline_wall, _ = _timed(lambda: _incidence_trial(
-        Trial(0, seed), n_machines=n_machines, horizon_days=horizon,
-        legacy=True,
-    ))
-    inline_trial_s, _ = _timed(lambda: _incidence_trial(
-        Trial(0, seed), n_machines=n_machines, horizon_days=horizon,
-    ))
+    # Several trials per worker, so the one-time interpreter spawn +
+    # import cost of each pool process is amortized across its trials.
+    requested_workers = workers
+    workers = effective_workers(workers)
+    n_trials = 2 * workers
 
-    # Tick A/B on a prevalence-boosted fleet.  At the paper's realistic
-    # prevalence this fleet has only a handful of mercurial cores, so
-    # the per-tick hot loop barely runs and its A/B is pure noise; the
-    # boosted fleet (same trick as tests/test_determinism.py) gives the
-    # loop a population worth measuring.  Both sides get the identical
-    # fleet: same builder, same seed, rebuilt because the sim mutates
-    # cores.
-    import dataclasses as _dc
-
-    from repro.fleet.product import DEFAULT_PRODUCTS
-
-    boost = 40.0
-    boosted = tuple(
-        _dc.replace(p, core_prevalence=p.core_prevalence * boost)
-        for p in DEFAULT_PRODUCTS
-    )
-    tick_s = {}
-    for vectorized in (False, True):
-        b_machines, b_truth = FleetBuilder(
-            products=boosted, seed=seed, deployment_window=(-900.0, 0.0)
-        ).build(n_machines)
-        b_sim = tick_timed(
-            b_machines, b_truth,
-            SimulatorConfig(
-                horizon_days=horizon, warmup_days=0.0, vectorized=vectorized
-            ),
-            seed=seed + 1,
-        )
-        b_sim.run()
-        tick_s[vectorized] = b_sim.tick_seconds
-    baseline_tick_s, vec_tick_s = tick_s[False], tick_s[True]
-
-    # Engine fan-out through run_incidence: several trials per worker,
-    # so the one-time interpreter spawn + import cost of each pool
-    # process is amortized across its trials.
-    n_trials = 2 * max(1, workers)
-    engine_s, _ = _timed(
-        lambda: run_incidence(
+    def incidence(n_workers: int) -> dict:
+        return run_incidence(
             n_machines=n_machines, seed=seed, horizon_days=horizon,
-            n_trials=n_trials, workers=workers,
+            n_trials=n_trials, workers=n_workers,
         )
-    )
-    per_trial_s = engine_s / n_trials
-    ticks = int(round(horizon / 1.0))
+
+    baseline_wall, _ = _timed(lambda: incidence(1))
+    engine_s, _ = _timed(lambda: incidence(workers))
+    ticks = int(round(horizon / 1.0)) * n_trials
     return BenchScorecard(
         bench_id="e1",
-        title="E1 incidence campaign (serial legacy vs engine)",
+        title="E1 incidence campaign (serial vs engine)",
         scale=scale,
         workers=workers,
         wall_s=engine_s,
         baseline_wall_s=baseline_wall,
-        speedup=baseline_wall / max(per_trial_s, 1e-9),
+        speedup=baseline_wall / max(engine_s, 1e-9),
         trials=n_trials,
         trials_per_s=n_trials / max(engine_s, 1e-9),
         ticks=ticks,
-        ticks_per_s=ticks / max(vec_tick_s, 1e-9),
-        baseline_ticks_per_s=ticks / max(baseline_tick_s, 1e-9),
-        tick_speedup=baseline_tick_s / max(vec_tick_s, 1e-9),
+        ticks_per_s=ticks / max(engine_s, 1e-9),
         metrics={
             "n_machines": n_machines,
             "horizon_days": horizon,
-            "inline_trial_s": inline_trial_s,
-            "inline_speedup": baseline_wall / max(inline_trial_s, 1e-9),
-            # tick A/B measured on the prevalence-boosted fleet
-            "tick_prevalence_boost": boost,
-            "scalar_tick_s": baseline_tick_s,
-            "vectorized_tick_s": vec_tick_s,
+            "requested_workers": requested_workers,
         },
     )
 
@@ -632,7 +554,7 @@ def bench_fleetscreen(scale: str, workers: int) -> BenchScorecard:
       headline booleans.
     - **O(100k)-core arm** — a 2,600-machine (~104k-core) columnar
       fleet built, published to shared memory, attached read-only, and
-      screened in one vectorized pass with the distilled battery
+      screened in one batched pass with the distilled battery
       (``scale_*`` / ``snapshot_*`` metrics); the full corpus screens
       the same snapshot so the per-pass cost gap is measured on
       identical cores.
@@ -691,7 +613,7 @@ def bench_fleetscreen(scale: str, workers: int) -> BenchScorecard:
 
     # O(100k)-core arm: the default core mix averages ~40 cores/machine,
     # so 2,600 machines is a ≈104k-core fleet; screened zero-copy off a
-    # shared-memory snapshot at both scales (one vectorized pass is
+    # shared-memory snapshot at both scales (one batched pass is
     # cheap enough for CI).
     corpus = TestCorpus.standard()
     distilled = distill(corpus)
@@ -846,8 +768,8 @@ def bench_obs(scale: str, workers: int) -> BenchScorecard:
 
 #: bench id → (title, runner)
 BENCHMARKS: dict[str, tuple[str, Callable[[str, int], BenchScorecard]]] = {
-    "build": ("Fleet construction: legacy vs vectorized", bench_build),
-    "e1": ("E1 incidence: serial legacy vs engine", bench_e1),
+    "build": ("Fleet construction: columns vs objects", bench_build),
+    "e1": ("E1 incidence: serial vs engine", bench_e1),
     "e15": ("E15 serving campaign: uncached serial vs engine", bench_e15),
     "e16": ("E16 storage campaign: uncached serial vs engine", bench_e16),
     "serve-scale": ("E17 serve-at-scale grid: serial vs engine", bench_serve_scale),

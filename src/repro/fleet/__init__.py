@@ -15,7 +15,7 @@ from repro.fleet.columns import (
 )
 from repro.fleet.lifecycle import BurnInReport, RmaTracker, burn_in
 from repro.fleet.machine import Machine, build_small_fleet
-from repro.fleet.population import FleetBuilder, FleetGroundTruth, ground_truth_map
+from repro.fleet.population import FleetBuilder, FleetGroundTruth
 from repro.fleet.product import (
     CpuProduct,
     DEFAULT_PRODUCTS,
@@ -53,7 +53,6 @@ __all__ = [
     "build_small_fleet",
     "FleetBuilder",
     "FleetGroundTruth",
-    "ground_truth_map",
     "CpuProduct",
     "DEFAULT_PRODUCTS",
     "blended_machine_prevalence",

@@ -13,9 +13,10 @@ arrays — machine columns, per-core columns, and dense per-mercurial
 columns (the mercurial population is tiny, so everything a defect model
 needs lives in arrays sized by *defective* cores, not total cores).
 The contract with the object world is lossless: ``to_machines()``
-materializes the exact fleet :meth:`repro.fleet.population.FleetBuilder.build`
-would have produced (bit-identical ids, defects, seeds and ages — pinned
-by tests), and :meth:`from_machines` goes the other way.
+materializes the ``Machine``/``Core`` fleet the columns describe (ids,
+defects, per-core seeds and ages, pinned by
+``tests/test_fleet_golden.py``), and :meth:`from_machines` goes the
+other way.
 
 Memory layout (1M cores ≈ 7 MB, vs ≈ 1 GB of ``Core`` objects):
 
@@ -218,8 +219,8 @@ class FleetColumns:
         """Defect models of one mercurial core, regenerated on demand.
 
         Builder fleets resample from ``merc_sample_seed`` — identical
-        calls to what :meth:`FleetBuilder.build` made, so the defect
-        parameters are bit-identical to the object fleet's.
+        calls to what :meth:`FleetBuilder.build_columns` made, so the
+        defect parameters are bit-identical to the builder's.
         """
         if self._merc_defects is None:
             self._merc_defects = [None] * self.n_mercurial
@@ -358,9 +359,9 @@ class FleetColumns:
     def to_machines(self) -> tuple[list["Machine"], "FleetGroundTruth"]:
         """Materialize the object fleet these columns describe.
 
-        Bit-identical to what :meth:`FleetBuilder.build` produces for
-        the same seed (pinned by tests): same ids, same defect
-        parameters, same per-core RNG seeding, same deploy days.
+        This is the only way to get a builder fleet as objects; its
+        content (ids, defect parameters, per-core RNG seeding, deploy
+        days) is pinned by ``tests/test_fleet_golden.py``.
         """
         from repro.fleet.machine import Machine
 

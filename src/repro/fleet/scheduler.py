@@ -18,10 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Collection, Sequence
 
-import numpy as np
-
 from repro.detection.quarantine import heuristic_safe_op_mix  # repro: noqa-ARCH001 -- the scheduler steers suspect cores onto the same safe mix the quarantine policy defines, by design
-from repro.fleet.columns import FleetColumns
 from repro.fleet.machine import Machine
 from repro.silicon.core import Core
 
@@ -62,18 +59,11 @@ class ScheduleStats:
 
 
 class FleetScheduler:
-    """Slot-per-core scheduler over a heterogeneous (post-quarantine) fleet.
-
-    Works on either substrate: a sequence of ``Machine`` objects (the
-    original overload, pinned by tests) or a
-    :class:`~repro.fleet.columns.FleetColumns` fleet.  Placement order
-    is identical across substrates — free slots are consumed in flat
-    core order — so results don't depend on the representation.
-    """
+    """Slot-per-core scheduler over a heterogeneous (post-quarantine) fleet."""
 
     def __init__(
         self,
-        machines: Sequence[Machine] | FleetColumns,
+        machines: Sequence[Machine],
         allow_safe_tasks: bool = False,
         implicated_units_by_core: dict[str, frozenset] | None = None,
     ):
@@ -84,100 +74,17 @@ class FleetScheduler:
             implicated_units_by_core: which units confessions implicated
                 per quarantined core (needed for safe-task decisions).
         """
-        if isinstance(machines, FleetColumns):
-            self.columns: FleetColumns | None = machines
-            self.machines: list[Machine] = []
-        else:
-            self.columns = None
-            self.machines = list(machines)
+        self.machines = list(machines)
         self.allow_safe_tasks = allow_safe_tasks
         self.implicated_units_by_core = implicated_units_by_core or {}
 
     def _all_cores(self) -> list[Core]:
-        return [core for machine in self.machines for core in machine.cores]  # repro: noqa-PERF002 -- object-substrate slot scan (compat path)
-
-    def _exclude_mask(
-        self,
-        exclude_core_ids: Collection[str] | np.ndarray | None,
-    ) -> np.ndarray:
-        """Columnar exclusion mask from ids *or* flat index arrays.
-
-        Callers operating on columns pass numpy integer indices (or a
-        boolean mask) straight through — no Core objects, no id-string
-        materialization.  String collections still work for callers
-        carrying quarantine sets keyed by core id.
-        """
-        assert self.columns is not None
-        n_cores = self.columns.n_cores
-        mask = np.zeros(n_cores, dtype=bool)
-        if exclude_core_ids is None:
-            return mask
-        if isinstance(exclude_core_ids, np.ndarray):
-            if exclude_core_ids.dtype == bool:
-                if exclude_core_ids.shape != (n_cores,):
-                    raise ValueError(
-                        "boolean exclude mask must have one entry per core"
-                    )
-                return exclude_core_ids.copy()
-            mask[exclude_core_ids.astype(np.int64)] = True
-            return mask
-        for core_id in exclude_core_ids:
-            flat = self.columns.core_index(core_id)
-            if flat is not None:
-                mask[flat] = True
-        return mask
-
-    def _schedule_columnar(
-        self,
-        tasks: Sequence[Task],
-        exclude_core_ids: Collection[str] | np.ndarray | None,
-    ) -> tuple[list[Placement], ScheduleStats]:
-        columns = self.columns
-        assert columns is not None
-        excluded = self._exclude_mask(exclude_core_ids)
-        stats = ScheduleStats()
-        stats.slots_total = columns.n_cores
-        stats.slots_excluded = int(excluded.sum())
-        online = columns.online & ~excluded
-        stranded = ~columns.online & ~excluded
-        stats.slots_stranded = int(stranded.sum())
-        free_online = np.nonzero(online)[0]
-        free_quarantined = np.nonzero(stranded)[0].tolist()
-
-        placements: list[Placement] = []
-        cursor = 0
-        for task in tasks:
-            if cursor < free_online.shape[0]:
-                placements.append(
-                    Placement(task, columns.core_id(int(free_online[cursor])))
-                )
-                cursor += 1
-                stats.placed += 1
-                continue
-            placed = False
-            if self.allow_safe_tasks:
-                for index, flat in enumerate(free_quarantined):
-                    core_id = columns.core_id(flat)
-                    implicated = self.implicated_units_by_core.get(
-                        core_id, frozenset()
-                    )
-                    if heuristic_safe_op_mix(implicated, task.op_mix):
-                        free_quarantined.pop(index)
-                        placements.append(
-                            Placement(task, core_id, on_quarantined_core=True)
-                        )
-                        stats.placed += 1
-                        stats.placed_on_quarantined += 1
-                        placed = True
-                        break
-            if not placed:
-                stats.unplaceable += 1
-        return placements, stats
+        return [core for machine in self.machines for core in machine.cores]  # repro: noqa-PERF002 -- the scheduler's fleet is Machine objects
 
     def schedule(
         self,
         tasks: Sequence[Task],
-        exclude_core_ids: Collection[str] | np.ndarray | None = None,
+        exclude_core_ids: Collection[str] | None = None,
     ) -> tuple[list[Placement], ScheduleStats]:
         """Place each task on a free core slot; round-robin over machines.
 
@@ -189,18 +96,8 @@ class FleetScheduler:
                 elsewhere (e.g. serving replicas being re-placed after
                 a quarantine, which must not land back on an occupied
                 or suspect core).  Excluded slots are accounted
-                separately from quarantine-stranded ones.  On the
-                columnar substrate this also accepts a numpy integer
-                index array (flat core indices) or a per-core boolean
-                mask — no ``Core`` objects are materialized either way.
+                separately from quarantine-stranded ones.
         """
-        if self.columns is not None:
-            return self._schedule_columnar(tasks, exclude_core_ids)
-        if isinstance(exclude_core_ids, np.ndarray):
-            raise TypeError(
-                "index-array exclusion needs a FleetColumns scheduler; "
-                "object fleets take core-id collections"
-            )
         exclude = frozenset(exclude_core_ids or ())
         stats = ScheduleStats()
         placements: list[Placement] = []
@@ -244,11 +141,6 @@ class FleetScheduler:
 
     def capacity(self) -> tuple[int, int]:
         """(online slots, total slots)."""
-        if self.columns is not None:
-            return (
-                int(self.columns.online.sum()),
-                int(self.columns.n_cores),
-            )
         total = 0
         online = 0
         for core in self._all_cores():

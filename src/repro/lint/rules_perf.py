@@ -1,6 +1,6 @@
 """Performance rules (PERF family): hot-path object-layout contracts.
 
-The vectorized fleet loop and the per-op silicon path allocate these
+The columnar fleet tick and the per-op silicon path allocate these
 dataclasses millions of times per campaign; ``__slots__`` keeps them
 off the per-instance ``__dict__`` (measured in the PR-3 bench pass).
 The module table in :class:`~repro.lint.engine.LintConfig` names the

@@ -27,9 +27,9 @@ from repro.silicon.golden import (
 )
 
 # Observability is touched only on the rare corruption / machine-check
-# branches — never on the per-op fast path, which stays exactly as the
-# BENCH_E1 baseline measured it.  Handles are module-level because Core
-# uses __slots__ and fleets hold hundreds of thousands of instances.
+# branches — never on the per-op fast path, which pays nothing for it.
+# Handles are module-level because Core uses __slots__ and fleets hold
+# hundreds of thousands of instances.
 _OBS_CORRUPTIONS: obs.Counter | None = None
 _OBS_MCES: obs.Counter | None = None
 

@@ -15,19 +15,19 @@ from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 
 
 def _run(build_seed=11, sim_seed=3):
-    # The fleet must be rebuilt per run: the simulator mutates cores
-    # (aging, quarantine set_online), so reusing machines would leak
-    # state between runs and mask nondeterminism.
+    # The fleet must be rebuilt per run: the simulator mutates its
+    # columns (aging, quarantine), so reusing them would leak state
+    # between runs and mask nondeterminism.
     products = tuple(
         dataclasses.replace(p, core_prevalence=p.core_prevalence * 40.0)
         for p in DEFAULT_PRODUCTS
     )
-    machines, truth = FleetBuilder(
+    columns = FleetBuilder(
         products=products, seed=build_seed,
         deployment_window=(-700.0, 0.0),
-    ).build(150)
+    ).build_columns(150)
     config = SimulatorConfig(horizon_days=60.0, warmup_days=0.0)
-    return FleetSimulator(machines, truth, config, seed=sim_seed).run()
+    return FleetSimulator(columns, config, seed=sim_seed).run()
 
 
 def _event_stream(result):

@@ -1,20 +1,20 @@
-"""Columnar fleet substrate: build parity, adapters, simulator parity.
+"""Columnar fleet substrate: materialization, adapters, simulator input.
 
-The correctness anchor for the struct-of-arrays refactor: everything
-the columnar substrate produces must be *bit-identical* to the object
-substrate at equal seeds — fleet content, ground truth, and full
-simulated event streams.  ``build_legacy`` / the scalar tick remain
-the statistical baselines they always were; the bit-exact anchor is
-columnar vs the object vectorized path it replaced.
+``FleetColumns`` is the only fleet the simulator runs on.  These tests
+check that the two ways out of and into the object world are lossless:
+``to_machines()`` materializes exactly what the columns describe, and
+``FleetColumns.from_machines`` adapts a hand-built fleet so that it
+simulates event-for-event like the builder's own columns.  The outputs
+recorded from the retired object-fleet paths are pinned in
+``tests/test_fleet_golden.py``.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.fleet.columns import DEFECT_MODE_CODES, FleetColumns, defect_mode_code
-from repro.fleet.population import FleetBuilder, ground_truth_map
+from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
 from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 
@@ -34,22 +34,6 @@ def _boosted_products(boost=40.0):
     )
 
 
-def _machine_fingerprint(machine):
-    return (
-        machine.machine_id,
-        machine.product.sku,
-        machine.deploy_day,
-        tuple(
-            (
-                core.core_id,
-                core.is_mercurial,
-                tuple(repr(d) for d in core.defects),
-            )
-            for core in machine.cores
-        ),
-    )
-
-
 def _event_stream(result):
     return [
         (e.time_days, e.machine_id, e.core_id, str(e.kind), str(e.reporter),
@@ -58,24 +42,38 @@ def _event_stream(result):
     ]
 
 
+def _object_truth_map(machines):
+    return {
+        core.core_id: core.is_mercurial
+        for machine in machines
+        for core in machine.cores
+    }
+
+
 class TestBuildParity:
-    def test_to_machines_matches_object_builder(self):
-        machines, truth = _builder().build(N_MACHINES)
+    def test_to_machines_matches_columns(self):
         columns = _builder().build_columns(N_MACHINES)
-        col_machines, col_truth = columns.to_machines()
-        assert [_machine_fingerprint(m) for m in machines] == [
-            _machine_fingerprint(m) for m in col_machines
+        machines, truth = columns.to_machines()
+        assert [m.machine_id for m in machines] == [
+            columns.machine_id(i) for i in range(columns.n_machines)
         ]
-        assert truth.n_mercurial == col_truth.n_mercurial
-        assert sorted(truth.mercurial_core_ids) == sorted(
-            col_truth.mercurial_core_ids
+        assert [m.deploy_day for m in machines] == (
+            columns.machine_deploy_day.tolist()
         )
-        assert truth.onset_days_by_core == col_truth.onset_days_by_core
+        cores = [core for machine in machines for core in machine.cores]
+        assert [c.core_id for c in cores] == [
+            columns.core_id(flat) for flat in range(columns.n_cores)
+        ]
+        assert [c.is_mercurial for c in cores] == columns.mercurial.tolist()
+        assert truth.mercurial_core_ids == columns.ground_truth().mercurial_core_ids
+        assert truth.onset_days_by_core == (
+            columns.ground_truth().onset_days_by_core
+        )
 
     def test_ground_truth_map_matches_object(self):
-        machines, _ = _builder().build(N_MACHINES)
         columns = _builder().build_columns(N_MACHINES)
-        assert columns.ground_truth_map() == ground_truth_map(machines)
+        machines, _ = columns.to_machines()
+        assert columns.ground_truth_map() == _object_truth_map(machines)
 
     def test_counts_and_sizes(self):
         columns = _builder().build_columns(N_MACHINES)
@@ -109,13 +107,13 @@ class TestIndexing:
 
 class TestAdapters:
     def test_from_machines_round_trips_ids(self):
-        machines, _ = _builder().build(20)
+        machines, _ = _builder().build_columns(20).to_machines()
         columns = FleetColumns.from_machines(machines)
         assert columns.n_cores == sum(len(m.cores) for m in machines)
-        assert columns.ground_truth_map() == ground_truth_map(machines)
+        assert columns.ground_truth_map() == _object_truth_map(machines)
 
     def test_adapted_columns_refuse_to_materialize(self):
-        machines, _ = _builder().build(5)
+        machines, _ = _builder().build_columns(5).to_machines()
         columns = FleetColumns.from_machines(machines)
         with pytest.raises(ValueError):
             columns.to_machines()
@@ -138,32 +136,29 @@ class TestAdapters:
 class TestSimulatorParity:
     CONFIG = SimulatorConfig(horizon_days=60.0, warmup_days=0.0)
 
-    def _object_result(self):
-        machines, truth = _builder(products=_boosted_products()).build(150)
-        return FleetSimulator(machines, truth, self.CONFIG, seed=3).run()
-
-    def _columnar_result(self):
+    def _builder_result(self):
         columns = _builder(products=_boosted_products()).build_columns(150)
-        return FleetSimulator(columns, config=self.CONFIG, seed=3).run()
+        return FleetSimulator(columns, self.CONFIG, seed=3).run()
+
+    def _adapted_result(self):
+        machines, _ = (
+            _builder(products=_boosted_products()).build_columns(150).to_machines()
+        )
+        return FleetSimulator(
+            FleetColumns.from_machines(machines), self.CONFIG, seed=3
+        ).run()
 
     def test_event_streams_bit_identical(self):
-        obj = self._object_result()
-        col = self._columnar_result()
-        assert _event_stream(obj) == _event_stream(col)
-        assert sorted(obj.quarantined_cores) == sorted(col.quarantined_cores)
-        assert obj.quarantine_day == col.quarantine_day
-        assert obj.detection_latency_days == col.detection_latency_days
-        assert obj.total_corruptions == col.total_corruptions
-        assert obj.app_visible_corruptions == col.app_visible_corruptions
-        assert obj.screening_ops_spent == col.screening_ops_spent
-
-    def test_columnar_requires_vectorized_tick(self):
-        columns = _builder().build_columns(5)
-        config = SimulatorConfig(
-            horizon_days=5.0, warmup_days=0.0, vectorized=False
+        built = self._builder_result()
+        adapted = self._adapted_result()
+        assert _event_stream(built) == _event_stream(adapted)
+        assert built.quarantine_day == adapted.quarantine_day
+        assert built.detection_latency_days == adapted.detection_latency_days
+        assert built.total_corruptions == adapted.total_corruptions
+        assert built.app_visible_corruptions == (
+            adapted.app_visible_corruptions
         )
-        with pytest.raises(ValueError, match="to_machines"):
-            FleetSimulator(columns, config=config, seed=1)
+        assert built.screening_ops_spent == adapted.screening_ops_spent
 
     def test_truth_derived_from_columns(self):
         columns = _builder().build_columns(40)
@@ -177,16 +172,13 @@ class TestSimulatorParity:
             columns.core_id(int(flat)) for flat in columns.merc_core
         )
 
-    def test_object_path_still_requires_explicit_truth(self):
-        machines, _ = _builder().build(5)
-        with pytest.raises(TypeError):
-            FleetSimulator(machines, None, self.CONFIG, seed=1)
-
 
 class TestMercurialViews:
     def test_merc_defects_match_materialized_cores(self):
         columns = _builder(products=_boosted_products()).build_columns(60)
-        machines, _ = _builder(products=_boosted_products()).build(60)
+        machines, _ = (
+            _builder(products=_boosted_products()).build_columns(60).to_machines()
+        )
         core_by_id = {
             c.core_id: c for m in machines for c in m.cores
         }

@@ -6,7 +6,7 @@ import pytest
 from repro.detection.corpus import TestCorpus
 from repro.fleet.lifecycle import RmaTracker, burn_in
 from repro.fleet.machine import Machine
-from repro.fleet.population import FleetBuilder, ground_truth_map
+from repro.fleet.population import FleetBuilder
 from repro.fleet.product import (
     CpuProduct,
     DEFAULT_PRODUCTS,
@@ -46,14 +46,14 @@ class TestProducts:
 
 class TestFleetBuilder:
     def test_deterministic_under_seed(self):
-        a_machines, a_truth = FleetBuilder(seed=5).build(200)
-        b_machines, b_truth = FleetBuilder(seed=5).build(200)
+        a_machines, a_truth = FleetBuilder(seed=5).build_columns(200).to_machines()
+        b_machines, b_truth = FleetBuilder(seed=5).build_columns(200).to_machines()
         assert a_truth.mercurial_core_ids == b_truth.mercurial_core_ids
         assert [m.product.sku for m in a_machines] == \
             [m.product.sku for m in b_machines]
 
     def test_ground_truth_matches_cores(self):
-        machines, truth = FleetBuilder(seed=3).build(300)
+        machines, truth = FleetBuilder(seed=3).build_columns(300).to_machines()
         actual = {
             core.core_id
             for machine in machines
@@ -67,20 +67,19 @@ class TestFleetBuilder:
             CpuProduct("v", "dense", 32, core_prevalence=5e-3,
                        onset=WeibullOnset())
         ]
-        machines, truth = FleetBuilder(products=dense, seed=1).build(300)
+        truth = FleetBuilder(products=dense, seed=1).build_columns(300).ground_truth()
         assert truth.n_mercurial > 10
 
     def test_deployment_window(self):
         builder = FleetBuilder(seed=2, deployment_window=(-100.0, 50.0))
-        machines, _ = builder.build(100)
-        deploys = [m.deploy_day for m in machines]
-        assert min(deploys) >= -100.0 and max(deploys) <= 50.0
+        deploys = builder.build_columns(100).machine_deploy_day
+        assert deploys.min() >= -100.0 and deploys.max() <= 50.0
 
     def test_technology_refresh_orders_deployments(self):
         builder = FleetBuilder(
             seed=4, deployment_window=(0.0, 1000.0), technology_refresh=True
         )
-        machines, _ = builder.build(800)
+        machines, _ = builder.build_columns(800).to_machines()
         by_product: dict[str, list[float]] = {}
         for machine in machines:
             by_product.setdefault(machine.product.sku, []).append(
@@ -94,9 +93,10 @@ class TestFleetBuilder:
         assert means == sorted(means)  # newer SKUs deploy later on average
 
     def test_ground_truth_map(self):
-        machines, truth = FleetBuilder(seed=6).build(100)
-        truth_map = ground_truth_map(machines)
-        assert sum(truth_map.values()) == truth.n_mercurial
+        columns = FleetBuilder(seed=6).build_columns(100)
+        truth_map = columns.ground_truth_map()
+        assert len(truth_map) == columns.n_cores
+        assert sum(truth_map.values()) == columns.ground_truth().n_mercurial
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ class TestFleetBuilder:
 
     def test_needs_positive_machines(self):
         with pytest.raises(ValueError):
-            FleetBuilder().build(0)
+            FleetBuilder().build_columns(0)
 
 
 class TestMachine:

@@ -1,15 +1,12 @@
 """Core-aware scheduler."""
 
-import numpy as np
-import pytest
-
 from repro.fleet.population import FleetBuilder
 from repro.fleet.scheduler import FleetScheduler, Task
 from repro.silicon.units import FunctionalUnit, Op
 
 
 def _small_fleet(n=4, seed=0):
-    machines, _ = FleetBuilder(seed=seed).build(n)
+    machines, _ = FleetBuilder(seed=seed).build_columns(n).to_machines()
     return machines
 
 
@@ -112,99 +109,3 @@ class TestSafeTaskPlacement:
         _, stats = scheduler.schedule(tasks)
         assert stats.placed_on_quarantined == 0
         assert stats.unplaceable == 1
-
-
-class TestColumnarScheduler:
-    """FleetColumns overload: identical placement, no Core objects."""
-
-    def _both(self, n=4, seed=0):
-        machines, _ = FleetBuilder(
-            seed=seed, deployment_window=(-700.0, 0.0)
-        ).build(n)
-        columns = FleetBuilder(
-            seed=seed, deployment_window=(-700.0, 0.0)
-        ).build_columns(n)
-        return machines, columns
-
-    def test_placements_match_object_overload(self):
-        machines, columns = self._both()
-        tasks = [Task(f"t{i}") for i in range(10)]
-        obj_placements, obj_stats = FleetScheduler(machines).schedule(tasks)
-        col_placements, col_stats = FleetScheduler(columns).schedule(tasks)
-        assert [(p.task.task_id, p.core_id, p.on_quarantined_core)
-                for p in obj_placements] == [
-            (p.task.task_id, p.core_id, p.on_quarantined_core)
-            for p in col_placements
-        ]
-        assert obj_stats == col_stats
-
-    def test_capacity_matches_after_quarantine(self):
-        machines, columns = self._both()
-        victim_id = machines[0].cores[0].core_id
-        machines[0].cores[0].set_online(False)
-        columns.online[columns.core_index(victim_id)] = False
-        assert FleetScheduler(machines).capacity() == (
-            FleetScheduler(columns).capacity()
-        )
-
-    def test_index_array_exclusion(self):
-        _, columns = self._both()
-        scheduler = FleetScheduler(columns)
-        exclude = np.array([0, 1], dtype=np.int64)
-        total = columns.n_cores
-        placements, stats = scheduler.schedule(
-            [Task(f"t{i}") for i in range(total)], exclude_core_ids=exclude
-        )
-        assert stats.slots_excluded == 2
-        assert stats.unplaceable == 2
-        excluded_ids = {columns.core_id(0), columns.core_id(1)}
-        assert excluded_ids.isdisjoint({p.core_id for p in placements})
-
-    def test_bool_mask_exclusion_matches_ids(self):
-        _, columns = self._both()
-        ids = {columns.core_id(3), columns.core_id(7)}
-        mask = np.zeros(columns.n_cores, dtype=bool)
-        mask[[3, 7]] = True
-        tasks = [Task(f"t{i}") for i in range(columns.n_cores)]
-        by_mask = FleetScheduler(columns).schedule(tasks, exclude_core_ids=mask)
-        by_ids = FleetScheduler(columns).schedule(tasks, exclude_core_ids=ids)
-        assert [(p.core_id) for p in by_mask[0]] == [
-            (p.core_id) for p in by_ids[0]
-        ]
-        assert by_mask[1] == by_ids[1]
-
-    def test_bool_mask_shape_checked(self):
-        _, columns = self._both()
-        with pytest.raises(ValueError, match="one entry per core"):
-            FleetScheduler(columns).schedule(
-                [], exclude_core_ids=np.zeros(3, dtype=bool)
-            )
-
-    def test_object_overload_rejects_index_arrays(self):
-        machines, _ = self._both()
-        with pytest.raises(TypeError, match="FleetColumns"):
-            FleetScheduler(machines).schedule(
-                [], exclude_core_ids=np.array([0], dtype=np.int64)
-            )
-
-    def test_safe_task_placement_matches(self):
-        machines, columns = self._both()
-        victim_id = machines[0].cores[0].core_id
-        machines[0].cores[0].set_online(False)
-        columns.online[columns.core_index(victim_id)] = False
-        implicated = {victim_id: frozenset({FunctionalUnit.VECTOR})}
-        scalar_mix = {Op.ADD: 1.0}
-        total = columns.n_cores
-        tasks = [Task(f"t{i}", op_mix=scalar_mix) for i in range(total)]
-        obj = FleetScheduler(
-            machines, allow_safe_tasks=True,
-            implicated_units_by_core=implicated,
-        ).schedule(tasks)
-        col = FleetScheduler(
-            columns, allow_safe_tasks=True,
-            implicated_units_by_core=implicated,
-        ).schedule(tasks)
-        assert [(p.core_id, p.on_quarantined_core) for p in obj[0]] == [
-            (p.core_id, p.on_quarantined_core) for p in col[0]
-        ]
-        assert obj[1] == col[1]

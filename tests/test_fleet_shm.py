@@ -208,7 +208,7 @@ class TestRunFleetTrials:
     def test_nonstandard_ids_refuse_snapshot(self):
         machines, _ = FleetBuilder(
             seed=1, deployment_window=(-700.0, 0.0)
-        ).build(3)
+        ).build_columns(3).to_machines()
         for machine in machines:
             for core in machine.cores:
                 core.core_id = "x-" + core.core_id
